@@ -179,8 +179,9 @@ func run(c cliConfig) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\n-- measured execution --\nworkload time: %s (%d rows, data %d KB, structures %d KB)\n",
-			ex.Elapsed, ex.Rows, ex.DataBytes>>10, ex.StructBytes>>10)
+		fmt.Printf("\n-- measured execution --\nworkload time: %s = measured %s + modelled I/O %s (%d KB charged at %.0f MB/s; %d rows, data %d KB, structures %d KB)\n",
+			ex.Elapsed, ex.Measured, ex.ModelledIO, ex.BytesCharged>>10, core.SimScanBandwidth/1e6,
+			ex.Rows, ex.DataBytes>>10, ex.StructBytes>>10)
 		audit, err := adv.CostAudit(res, docs...)
 		if err != nil {
 			return err

@@ -25,12 +25,20 @@ type QueryAudit struct {
 	// Measured is the wall-clock time of one execution (averaged over
 	// enough repetitions to be stable).
 	Measured time.Duration
+	// BytesCharged is one execution's scan charge and ModelledIO its
+	// simulated read time (BytesCharged / SimScanBandwidth).
+	BytesCharged int64
+	ModelledIO   time.Duration
 	// Rows is the result size; RowsScanned/RowsSought are the
 	// executor's access counters for one execution.
 	Rows, RowsScanned, RowsSought int64
 	// Plan is the EXPLAIN-style rendering of the executed plan.
 	Plan string
 }
+
+// Time is the query's audited execution time: Measured plus ModelledIO,
+// the same model MeasureExecution reports.
+func (q *QueryAudit) Time() time.Duration { return q.Measured + q.ModelledIO }
 
 // Audit is a cost-model accuracy audit: per-query estimated cost next
 // to measured execution on real data under the recommended design —
@@ -41,9 +49,14 @@ type Audit struct {
 	Queries []QueryAudit
 	// EstTotal is the weighted estimated workload cost.
 	EstTotal float64
-	// MeasuredTotal is the weighted measured workload time.
-	MeasuredTotal time.Duration
+	// MeasuredTotal is the weighted wall-clock workload time and
+	// ModelledIOTotal the weighted modelled I/O time.
+	MeasuredTotal, ModelledIOTotal time.Duration
 }
+
+// TimeTotal is the weighted audited workload time: MeasuredTotal plus
+// ModelledIOTotal.
+func (au *Audit) TimeTotal() time.Duration { return au.MeasuredTotal + au.ModelledIOTotal }
 
 // auditMinMeasure is the per-query measurement floor: queries faster
 // than this are repeated until the total is meaningful.
@@ -54,7 +67,8 @@ const (
 
 // CostAudit loads the documents under the result's mapping, builds the
 // recommended configuration, and measures every workload query,
-// pairing each measurement with the advisor's estimated cost. The
+// pairing each measurement (wall time plus the modelled I/O time of
+// the query's scan charge) with the advisor's estimated cost. The
 // estimated side comes from Result.PerQueryCost (what the search
 // optimized); the measured side re-plans against the loaded data's
 // actual statistics, exactly like MeasureExecution.
@@ -95,6 +109,8 @@ func (a *Advisor) CostAudit(res *Result, docs ...*xmlgen.Doc) (*Audit, error) {
 		qa.Rows = int64(len(out.Rows))
 		qa.RowsScanned = out.Stats.RowsScanned
 		qa.RowsSought = out.Stats.RowsSought
+		qa.BytesCharged = out.Stats.BytesCharged
+		qa.ModelledIO = modelledIO(qa.BytesCharged)
 		// Timed repetitions until the total is stable, reporting the
 		// per-execution average.
 		reps := 1
@@ -120,41 +136,46 @@ func (a *Advisor) CostAudit(res *Result, docs ...*xmlgen.Doc) (*Audit, error) {
 		audit.Queries = append(audit.Queries, qa)
 		audit.EstTotal += qa.Weight * qa.EstCost
 		audit.MeasuredTotal += time.Duration(qa.Weight * float64(qa.Measured))
+		audit.ModelledIOTotal += time.Duration(qa.Weight * float64(qa.ModelledIO))
 	}
 	sp.SetAttr(obs.Float("est_total", audit.EstTotal),
-		obs.Int("measured_total_us", audit.MeasuredTotal.Microseconds()))
+		obs.Int("measured_total_us", audit.MeasuredTotal.Microseconds()),
+		obs.Int("modelled_io_total_us", audit.ModelledIOTotal.Microseconds()))
 	return audit, nil
 }
 
 // WriteTable renders the audit as an aligned estimated-vs-measured
-// table. The "x vs avg" column is each query's measured-per-estimated
-// ratio normalized by the workload-wide ratio: a perfectly calibrated
-// cost model (up to one global scale factor, which estimated cost
-// units cannot fix) prints 1.00 everywhere; a query the model
-// underestimates prints above one.
+// table. Each query's time is shown in its parts — measured wall time,
+// bytes charged by its scans, and their modelled I/O time — and the
+// "x vs avg" column is its total-time-per-estimated ratio normalized by
+// the workload-wide ratio: a perfectly calibrated cost model (up to one
+// global scale factor, which estimated cost units cannot fix) prints
+// 1.00 everywhere; a query the model underestimates prints above one.
 func (au *Audit) WriteTable(w io.Writer) error {
 	var b strings.Builder
-	b.WriteString("--- cost-model audit: estimated vs measured ---\n")
-	fmt.Fprintf(&b, "%-44s %8s %10s %12s %10s %8s\n",
-		"query", "weight", "est cost", "measured", "rows", "x vs avg")
+	b.WriteString("--- cost-model audit: estimated vs measured + modelled I/O ---\n")
+	fmt.Fprintf(&b, "%-44s %8s %10s %12s %12s %12s %10s %8s\n",
+		"query", "weight", "est cost", "measured", "charged", "I/O model", "rows", "x vs avg")
 	globalRatio := 0.0
 	if au.EstTotal > 0 {
-		globalRatio = float64(au.MeasuredTotal) / au.EstTotal
+		globalRatio = float64(au.TimeTotal()) / au.EstTotal
 	}
 	for _, q := range au.Queries {
 		ratio := "-"
 		if q.EstCost > 0 && globalRatio > 0 {
-			ratio = fmt.Sprintf("%.2f", float64(q.Measured)/q.EstCost/globalRatio)
+			ratio = fmt.Sprintf("%.2f", float64(q.Time())/q.EstCost/globalRatio)
 		}
 		tag := q.Tag
 		if len(tag) > 44 {
 			tag = tag[:41] + "..."
 		}
-		fmt.Fprintf(&b, "%-44s %8.2f %10.2f %12s %10d %8s\n",
-			tag, q.Weight, q.EstCost, q.Measured.Round(time.Microsecond), q.Rows, ratio)
+		fmt.Fprintf(&b, "%-44s %8.2f %10.2f %12s %12s %12s %10d %8s\n",
+			tag, q.Weight, q.EstCost, q.Measured.Round(time.Microsecond),
+			fmt.Sprintf("%d KB", q.BytesCharged>>10), q.ModelledIO.Round(time.Microsecond), q.Rows, ratio)
 	}
-	fmt.Fprintf(&b, "weighted totals: estimated %.2f | measured %s\n",
-		au.EstTotal, au.MeasuredTotal.Round(time.Microsecond))
+	fmt.Fprintf(&b, "weighted totals: estimated %.2f | measured %s + modelled I/O %s = %s\n",
+		au.EstTotal, au.MeasuredTotal.Round(time.Microsecond),
+		au.ModelledIOTotal.Round(time.Microsecond), au.TimeTotal().Round(time.Microsecond))
 	_, err := io.WriteString(w, b.String())
 	return err
 }

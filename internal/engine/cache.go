@@ -29,12 +29,11 @@ import (
 // fails loudly on post-build mutation (see Built.checkGenerations).
 // Hit/miss traffic per cache kind is counted unconditionally (plain
 // atomics, one add per access) and surfaces through CacheCounters,
-// the obs registry, and execution spans. The simulated scan cost
-// (touchRows) and the ExecStats accounting are NOT cached — every
-// execution still pays the scan touch and counts the rows its plan
-// reads, so measured execution time keeps the paper's scan/probe cost
-// ratio and Stats stay bit-identical to the row-at-a-time reference
-// executor.
+// the obs registry, and execution spans. Caching elides rebuilds, never
+// accounting: every execution still charges the scans its plan reads
+// (ExecStats.BytesCharged, including re-scans of cached hash-join build
+// sides) and counts their rows, so Stats stay bit-identical to the
+// row-at-a-time reference executor.
 type builtCaches struct {
 	mu       sync.Mutex
 	zips     map[string]*centry[*partZip]

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/optimizer"
 	"repro/internal/rel"
@@ -21,6 +20,14 @@ type ExecStats struct {
 	RowsSought int64
 	// Branches counts executed union branches.
 	Branches int64
+	// BytesCharged is the simulated sequential-read volume of the heap
+	// scans: every row a table scan or hash-join build side reads is
+	// charged once, at cellCharge per cell (8 per numeric or NULL cell,
+	// the byte length of a non-NULL string). Index seeks and
+	// partition-group scans pay only for what they read and charge
+	// nothing. The executor does no work for the charge; core turns it
+	// into modelled I/O time (see core.SimScanBandwidth).
+	BytesCharged int64
 }
 
 // add accumulates another branch's counters.
@@ -28,6 +35,7 @@ func (s *ExecStats) add(o ExecStats) {
 	s.RowsScanned += o.RowsScanned
 	s.RowsSought += o.RowsSought
 	s.Branches += o.Branches
+	s.BytesCharged += o.BytesCharged
 }
 
 // Result is the output of executing a sorted outer-union query.
@@ -94,102 +102,63 @@ func (sc *scope) pos(c sqlast.ColRef) (int, error) {
 
 func (sc *scope) has(table string) bool { _, ok := sc.offsets[table]; return ok }
 
-// scanSink absorbs the byte-touching work of heap scans so the
-// compiler cannot elide it. It is updated atomically: union branches
-// may scan in parallel.
-var scanSink atomic.Int64
-
-// scanTouchPasses calibrates the simulated sequential-read bandwidth
-// of heap scans. The paper's substrate is a disk-resident system where
-// scanning a page costs far more than a hash-table operation; an
-// in-memory row store inverts that balance, so heap scans here touch
-// every byte several times to restore the ratio (roughly emulating a
-// few hundred MB/s of effective scan bandwidth against in-memory joins).
-const scanTouchPasses = 8
-
-// touchRows makes heap scans cost work proportional to the scanned
-// byte volume, like the page reads of a disk-resident system: a wider
-// table is slower to scan even when the query projects few columns.
-// Without this, in-memory scans are width-oblivious and the paper's
-// untuned-mapping comparisons (Section 1.1) lose their crossover. The
-// batch executor calls it once per batch of scanned rows, so the
-// simulated read cost stays attached to the scan that incurs it even
-// when downstream operators reuse cached structures.
-func touchRows(rows [][]rel.Value) {
-	var sink int64
-	for pass := 0; pass < scanTouchPasses; pass++ {
-		for _, row := range rows {
-			for i := range row {
-				v := &row[i]
-				if v.Typ == rel.TString && !v.Null {
-					for j := 0; j < len(v.S); j++ {
-						sink += int64(v.S[j])
-					}
-				} else {
-					sink += 8
-				}
-			}
-		}
+// cellCharge is the scan charge of one value: 8 units for a numeric or
+// NULL cell, one per byte for a non-NULL string. It is the unit of
+// ExecStats.BytesCharged.
+func cellCharge(v rel.Value) int64 {
+	if v.Typ == rel.TString && !v.Null {
+		return int64(len(v.S))
 	}
-	scanSink.Add(sink)
+	return 8
 }
 
-// touchTable is touchRows over columnar storage: the same simulated
-// per-byte scan cost for rows [lo, hi), read straight from the column
-// vectors — numeric cells cost one unit of work per cell per pass,
-// string cells one per byte — without materializing a row. Columns
-// holding exception values (appends that don't round-trip through the
-// typed vectors) fall back to per-cell materialization so the charged
-// work matches the row store exactly.
-func touchTable(t *rel.Table, lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	var sink int64
-	for pass := 0; pass < scanTouchPasses; pass++ {
-		for ci := range t.Columns {
-			if codes, dict, nulls, ok := t.StrCol(ci); ok {
-				strs := dict.Strs()
-				for r := lo; r < hi; r++ {
-					if nulls.Get(r) {
-						sink += 8
-						continue
-					}
-					s := strs[codes[r]]
-					for j := 0; j < len(s); j++ {
-						sink += int64(s[j])
-					}
-				}
-				continue
-			}
-			if t.Columns[ci].Typ != rel.TString {
-				if _, _, ok := t.IntCol(ci); ok {
-					for r := lo; r < hi; r++ {
-						sink += 8
-					}
-					continue
-				}
-				if _, _, ok := t.FloatCol(ci); ok {
-					for r := lo; r < hi; r++ {
-						sink += 8
-					}
-					continue
-				}
-			}
-			// Exception fallback: charge each cell like touchRows would.
-			for r := lo; r < hi; r++ {
-				v := t.ValueAt(r, ci)
-				if v.Typ == rel.TString && !v.Null {
-					for j := 0; j < len(v.S); j++ {
-						sink += int64(v.S[j])
-					}
-				} else {
-					sink += 8
-				}
-			}
+// chargeRows is the scan charge of materialized rows (the reference
+// executor's heap scans).
+func chargeRows(rows [][]rel.Value) int64 {
+	var n int64
+	for _, row := range rows {
+		for _, v := range row {
+			n += cellCharge(v)
 		}
 	}
-	scanSink.Add(sink)
+	return n
+}
+
+// chargeTable is chargeRows over rows [lo, hi) of columnar storage,
+// read straight from the column vectors without materializing a row:
+// a clean numeric column charges 8 per cell without a loop, a clean
+// string column reads one dictionary length per cell, and a column
+// holding exception values falls back to per-cell materialization, so
+// the charge equals chargeRows over the same rows exactly.
+func chargeTable(t *rel.Table, lo, hi int) int64 {
+	if lo >= hi {
+		return 0
+	}
+	var n int64
+	for ci := range t.Columns {
+		if codes, dict, nulls, ok := t.StrCol(ci); ok {
+			strs := dict.Strs()
+			anyNull := nulls.Any()
+			for r := lo; r < hi; r++ {
+				if anyNull && nulls.Get(r) {
+					n += 8
+					continue
+				}
+				n += int64(len(strs[codes[r]]))
+			}
+			continue
+		}
+		_, _, intOK := t.IntCol(ci)
+		_, _, floatOK := t.FloatCol(ci)
+		if intOK || floatOK {
+			n += 8 * int64(hi-lo)
+			continue
+		}
+		for r := lo; r < hi; r++ {
+			n += cellCharge(t.ValueAt(r, ci))
+		}
+	}
+	return n
 }
 
 func predInScope(p *sqlast.Pred, sc *scope) bool {

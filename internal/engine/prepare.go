@@ -265,12 +265,12 @@ type pipeOp struct {
 
 	// Hash join: cached build side, plus the per-execution scan
 	// accounting its inner source incurs (the reference executor
-	// re-scans the build side every execution; the batch executor pays
-	// the same simulated scan cost and counters but skips the rebuild).
+	// re-scans the build side every execution; the batch executor
+	// charges the same bytes and counters but skips the rebuild).
 	jt          *joinTable
-	scanTable   *rel.Table // table to touch per run (nil for zips/seeks)
-	scanCount   int64      // RowsScanned per run
-	soughtCount int64      // RowsSought per run (seek-fed build side)
+	scanBytes   int64 // BytesCharged per run (0 for zips/seeks)
+	scanCount   int64 // RowsScanned per run
+	soughtCount int64 // RowsSought per run (seek-fed build side)
 
 	// INL join.
 	bi        *builtIndex
@@ -317,9 +317,12 @@ type preparedBranch struct {
 
 // branchState is the per-execution operator state: the driver batch,
 // the driver selection vector the columnar kernels compact, and one
-// output batch per join operator.
+// output batch per join operator. srcChunks drivers also get chunkIn,
+// an arena batch of the driver table's width that the surviving rows
+// of each chunk batch are read into (late materialization).
 type branchState struct {
 	in      *rel.Batch
+	chunkIn *rel.Batch
 	sel     []int32
 	joinOut []*rel.Batch
 }
@@ -494,8 +497,7 @@ func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, 
 	var rows [][]rel.Value
 	var cols []string
 	var srcKey string
-	var scanTable *rel.Table
-	var scanCount, soughtCount int64
+	var scanBytes, scanCount, soughtCount int64
 	a := j.Inner
 	if len(a.PartGroups) > 0 {
 		z, zerr := b.partitionZip(a.Table, a.PartGroups)
@@ -539,7 +541,7 @@ func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, 
 			} else {
 				srcKey = "t:" + a.Table
 			}
-			scanTable = t
+			scanBytes = chargeTable(t, 0, t.RowCount())
 			scanCount = int64(t.RowCount())
 		}
 	}
@@ -564,7 +566,7 @@ func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, 
 		jt = buildJoinTable(rows, ji)
 	}
 	pb.ops = append(pb.ops, pipeOp{kind: pipeHashJoin, outerPos: outerPos, jt: jt,
-		width: sc.width, slot: slot, scanTable: scanTable,
+		width: sc.width, slot: slot, scanBytes: scanBytes,
 		scanCount: scanCount, soughtCount: soughtCount})
 	return nil
 }
@@ -619,8 +621,9 @@ func compileBatchPred(b *Built, p *sqlast.Pred, sc *scope) (func([]rel.Value) bo
 	return nil, fmt.Errorf("engine: cannot compile predicate %s", p)
 }
 
-// initPool wires the per-execution state pool: one driver batch plus
-// one arena batch per join operator, sized to that join's output width.
+// initPool wires the per-execution state pool: one driver batch (plus,
+// for srcChunks drivers, one arena batch of the driver width) and one
+// arena batch per join operator, sized to that join's output width.
 func (pb *preparedBranch) initPool() {
 	widths := make([]int, 0, pb.nJoinSlots)
 	for _, op := range pb.ops {
@@ -631,6 +634,9 @@ func (pb *preparedBranch) initPool() {
 	pb.pool.New = func() any {
 		st := &branchState{in: rel.NewBatch(0), sel: make([]int32, 0, rel.BatchSize),
 			joinOut: make([]*rel.Batch, len(widths))}
+		if pb.src.kind == srcChunks {
+			st.chunkIn = rel.NewBatch(len(pb.src.table.Columns))
+		}
 		for i, w := range widths {
 			st.joinOut[i] = rel.NewBatch(w)
 		}
@@ -649,20 +655,19 @@ func (pb *preparedBranch) run(ctx context.Context, st *ExecStats) ([][]rel.Value
 	return pb.runRange(ctx, st, ids, 0, n)
 }
 
-// precharge charges the hash-join build-side scan cost. The reference
+// precharge charges the hash-join build-side scans. The reference
 // executor re-fetches every build side once per execution, even when
-// the driver produces no rows; charging the same scan touch and
-// counters up front — once per branch, never per morsel — keeps
-// measured cost and Stats aligned at any worker count.
+// the driver produces no rows; charging the same bytes and counters up
+// front — once per branch, never per morsel — keeps Stats identical at
+// any worker count. The build side's byte charge was computed once at
+// prepare time (prepared plans are cached), so this is O(1).
 func (pb *preparedBranch) precharge(st *ExecStats) {
 	for i := range pb.ops {
 		op := &pb.ops[i]
 		if op.kind != pipeHashJoin {
 			continue
 		}
-		if op.scanTable != nil {
-			touchTable(op.scanTable, 0, op.scanTable.RowCount())
-		}
+		st.BytesCharged += op.scanBytes
 		st.RowsScanned += op.scanCount
 		st.RowsSought += op.soughtCount
 	}
@@ -901,13 +906,17 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 	switch pb.src.kind {
 	case srcChunks:
 		// Chunk-granular scan: fault each overlapping chunk through the
-		// source, filter it with chunk-compiled kernels, and release it
-		// before moving on — the fragment is resident only between Chunk
-		// and release, so peak scan memory follows the source's budget.
-		// Output is bit-identical to the assembled srcScan path: batch
-		// boundaries differ but every operator is per-row, touchTable
-		// charges the same per-cell work on the fragment's vectors, and
-		// RowsScanned sums to the same total.
+		// source, filter it with chunk-compiled kernels on the column
+		// vectors, read only the surviving rows into the state's arena
+		// batch, and release the chunk before moving on — the fragment is
+		// resident only between Chunk and release, so peak scan memory
+		// follows the source's budget, and no row view of the whole chunk
+		// is ever built. The arena is reused per batch: sink and
+		// AppendConcat copy values out, so nothing downstream keeps a
+		// reference to it. Output is bit-identical to the assembled
+		// srcScan path: batch boundaries differ but every operator is
+		// per-row, chargeTable charges the same per-cell bytes on the
+		// fragment's vectors, and RowsScanned sums to the same total.
 		src := pb.src.chunks
 		nc := src.NumChunks()
 		for k := 0; k < nc; k++ {
@@ -927,7 +936,6 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 				release()
 				return out, err
 			}
-			frows := frag.Rows()
 			s0, e0 := max(lo, clo), min(hi, chi)
 			for start := s0; start < e0; start += rel.BatchSize {
 				if cancelled() {
@@ -935,7 +943,7 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 					return out, ctx.Err()
 				}
 				end := min(start+rel.BatchSize, e0)
-				touchTable(frag, start-clo, end-clo)
+				st.BytesCharged += chargeTable(frag, start-clo, end-clo)
 				st.RowsScanned += int64(end - start)
 				sel := state.sel[:0]
 				for r := start - clo; r < end-clo; r++ {
@@ -950,10 +958,10 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 				if len(sel) == 0 {
 					continue
 				}
-				bt := state.in
+				bt := state.chunkIn
 				bt.Reset()
 				for _, r := range sel {
-					bt.AppendRef(frows[r])
+					frag.ReadRowInto(bt.AppendArena(), int(r))
 				}
 				process(0, bt)
 			}
@@ -987,10 +995,9 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 				return out, ctx.Err()
 			}
 			end := min(start+rel.BatchSize, hi)
-			// Per-batch scan-cost touch: the simulated sequential-read
-			// work stays proportional to scanned bytes (see touchTable),
-			// read straight off the column vectors.
-			touchTable(t, start, end)
+			// Per-batch scan charge, read straight off the column
+			// vectors (see chargeTable).
+			st.BytesCharged += chargeTable(t, start, end)
 			st.RowsScanned += int64(end - start)
 			sel := state.sel[:0]
 			for r := start; r < end; r++ {

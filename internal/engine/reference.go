@@ -138,9 +138,9 @@ func fetchAccess(b *Built, s *sqlast.Select, a optimizer.Access, st *ExecStats) 
 		return cols, rows, nil
 	}
 	trows := t.Rows()
-	touchRows(trows)
 	if st != nil {
 		st.RowsScanned += int64(len(trows))
+		st.BytesCharged += chargeRows(trows)
 	}
 	return cols, trows, nil
 }

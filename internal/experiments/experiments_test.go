@@ -200,6 +200,21 @@ func TestRunIntroExample(t *testing.T) {
 	if res.TunedRatio() < 0.8 {
 		t.Errorf("tuned mapping2 worse than mapping1: ratio %.2f", res.TunedRatio())
 	}
+	// The untuned side of §1.1: without a physical design Mapping 1
+	// wins in the paper (21 s vs 27 s). Mapping 2's wider scans must
+	// keep it from pulling far ahead — the scan charge's modelled I/O
+	// time is what restores that balance on an in-memory engine. Race
+	// instrumentation inflates only the measured part, so the time
+	// ratio is checked in normal builds only.
+	if r := res.UntunedRatio(); r > 1.3 && !raceEnabled {
+		t.Errorf("untuned mapping1/mapping2 = %.2f, want <= 1.3 (mapping2's wider scans must not look cheap)", r)
+	}
+	// Deterministic half of the same shape: repetition-split inlining
+	// widens the scanned rows.
+	b1, b2 := res.Mapping1UntunedBytesPerRow, res.Mapping2UntunedBytesPerRow
+	if b1 <= 0 || b2 < b1 {
+		t.Errorf("untuned bytes charged per scanned row: mapping1 %.1f, mapping2 %.1f; want mapping2 >= mapping1 > 0", b1, b2)
+	}
 	var sb strings.Builder
 	PrintIntro(&sb, res)
 	if !strings.Contains(sb.String(), "mapping1") {

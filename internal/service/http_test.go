@@ -24,12 +24,21 @@ func TestHTTPRoundTrip(t *testing.T) {
 	cl := NewClient("http://"+srv.Addr, nil)
 	ctx := context.Background()
 
+	var charged int64
 	for i, qs := range serviceQueries {
 		resp, err := cl.Query(ctx, Request{Corpus: "movie", Tenant: "remote", XPath: qs})
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 		requireSameResult(t, qs, resp, want[i])
+		// The scan charge crosses the wire with the other counters.
+		if resp.Stats.BytesCharged != want[i].Stats.BytesCharged {
+			t.Errorf("query %d: BytesCharged %d over HTTP, reference %d", i, resp.Stats.BytesCharged, want[i].Stats.BytesCharged)
+		}
+		charged += resp.Stats.BytesCharged
+	}
+	if charged == 0 {
+		t.Error("no query charged any scan bytes; the wire check is vacuous")
 	}
 
 	// Admission errors keep their identity across the wire.
