@@ -302,16 +302,13 @@ func (s *Service) RegisterBuilt(name string, b *engine.Built, m *shred.Mapping, 
 // with paged=true driver-stage scans pull chunks through the store's
 // budgeted pager (Store.PagedBuilt), so every session's scans share one
 // CLOCK-managed chunk cache and the corpus serves data larger than RAM.
-// Optimizer statistics are collected once at registration through the
-// store's assembled-table cache (budget-evicting), so a paged corpus
-// pays one bounded pass, not a resident copy.
+// Optimizer statistics are collected once at registration: from the
+// Built's own tables when paged=false, so each table is assembled once,
+// and from one private Store.Database pass when paged=true, dropped
+// after collection rather than kept resident.
 func (s *Service) RegisterStore(name string, st *storage.Store, m *shred.Mapping, paged bool) error {
-	db, err := st.Database()
-	if err != nil {
-		return fmt.Errorf("service: register %s: %w", name, err)
-	}
-	prov := stats.FromDatabase(db)
 	var b *engine.Built
+	var err error
 	if paged {
 		b, err = st.PagedBuilt()
 	} else {
@@ -320,12 +317,20 @@ func (s *Service) RegisterStore(name string, st *storage.Store, m *shred.Mapping
 	if err != nil {
 		return fmt.Errorf("service: register %s: %w", name, err)
 	}
+	db := b.DB
+	if paged {
+		// Statistics over the shells would hydrate every table into the
+		// shared Built for good.
+		if db, err = st.Database(); err != nil {
+			return fmt.Errorf("service: register %s: %w", name, err)
+		}
+	}
 	return s.register(&corpus{
 		name:    name,
 		built:   b,
 		mapping: m,
 		cfg:     b.Config,
-		opt:     optimizer.New(prov),
+		opt:     optimizer.New(stats.FromDatabase(db)),
 	})
 }
 

@@ -168,3 +168,40 @@ func TestSharedPagedBuiltRaceBattery(t *testing.T) {
 			counters["prepared.misses"], len(serviceQueries), counters)
 	}
 }
+
+// TestRegisterStoreAssemblesOnce pins that registering an assembled
+// (paged=false) store decodes each table exactly once: the optimizer
+// statistics come from the Built's own tables, not a second assembly
+// pass over the store.
+func TestRegisterStoreAssemblesOnce(t *testing.T) {
+	m, db, built := movieFixture(t, 200)
+	want := refResults(t, m, db, serviceQueries)
+
+	dir := t.TempDir()
+	if _, err := storage.Save(dir, built, storage.Options{ChunkRows: 64}); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	reg := obs.NewRegistry()
+	store, err := storage.Open(dir, storage.Options{Registry: reg, MemBudgetBytes: db.Bytes() / 3, ChunkRows: 64})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	t.Cleanup(func() { store.Close() })
+	svc := New(Config{})
+	if err := svc.RegisterStore("movie", store, m, false); err != nil {
+		t.Fatal(err)
+	}
+	tables := len(store.Manifest().Tables)
+	if got := reg.Counter("storage.segment.loads").Value(); got != int64(tables) {
+		t.Fatalf("RegisterStore(paged=false) made %d segment loads, want one per table (%d)", got, tables)
+	}
+	for i, qs := range serviceQueries {
+		resp, err := svc.Query(context.Background(), Request{Corpus: "movie", Tenant: "t", XPath: qs})
+		if err != nil {
+			t.Fatalf("%s: %v", qs, err)
+		}
+		if d := diffResponse(resp, want[i]); d != "" {
+			t.Errorf("%s: %s", qs, d)
+		}
+	}
+}

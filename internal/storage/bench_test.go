@@ -111,25 +111,6 @@ func BenchmarkStoreReopenBudgeted(b *testing.B) {
 	benchReopen(b, benchStore(b, Options{}), Options{MemBudgetBytes: budget})
 }
 
-// BenchmarkScanResident is the warm counterpart: the assembled table
-// is served from the store cache with no chunk traffic.
-func BenchmarkScanResident(b *testing.B) {
-	dir := benchStore(b, Options{})
-	st, err := Open(dir, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := st.Table("fact"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.Table("fact"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func benchAppendRow(i int) []rel.Value {
 	return []rel.Value{
 		rel.Int(int64(1 << 30)), rel.NullOf(rel.TInt),
@@ -142,9 +123,6 @@ func benchAppendRow(i int) []rel.Value {
 func BenchmarkAppendSingle(b *testing.B) {
 	st, err := Open(benchStore(b, Options{}), Options{})
 	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := st.Table("fact"); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -161,9 +139,6 @@ func BenchmarkAppendSingle(b *testing.B) {
 func BenchmarkAppendBatch100(b *testing.B) {
 	st, err := Open(benchStore(b, Options{}), Options{})
 	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := st.Table("fact"); err != nil {
 		b.Fatal(err)
 	}
 	rows := make([][]rel.Value, 100)

@@ -194,9 +194,7 @@ func TestCompactFoldsRedo(t *testing.T) {
 		t.Fatal(err)
 	}
 	tablesBitEqual(t, live, replayed)
-	// Appends after compaction land in the new epoch's redo log. (live
-	// is the cached table, which the append mutates — pin the expected
-	// count first.)
+	// Appends after compaction land in the new epoch's redo log.
 	wantRows := live.RowCount() + 1
 	if err := st.Append("book", bookRow(300)); err != nil {
 		t.Fatal(err)
@@ -500,10 +498,54 @@ func TestStoreServesDatasetLargerThanBudget(t *testing.T) {
 	if pk := st.pager.peakBytes(); pk > budget+maxChunk {
 		t.Fatalf("peak %d exceeds budget %d + one chunk %d", pk, budget, maxChunk)
 	}
-	if reg.Counter("storage.table.evictions").Value() == 0 {
-		t.Fatal("two tables over a half-table budget never evicted the assembled-table cache")
+	if reg.Counter("storage.pager.evictions").Value() == 0 {
+		t.Fatal("two tables over a half-table budget never evicted a chunk")
 	}
-	if _, chunks := st.ResidentBytes(); chunks > budget {
-		t.Fatalf("resident chunk bytes %d exceed budget %d", chunks, budget)
+	// The pager is the store's only cache: the tables handed out above
+	// are the caller's, so nothing beyond the chunk cache stays resident.
+	if res := st.ResidentBytes(); res > budget+maxChunk {
+		t.Fatalf("resident bytes %d exceed budget %d + one chunk %d", res, budget, maxChunk)
+	}
+}
+
+// TestAppendUnderBudgetAssemblesNothing pins that an append checks row
+// width against the verified chunk directory alone: under a budget
+// smaller than one table it faults no chunk and loads no segment, and
+// the appended rows still land in the next assembly.
+func TestAppendUnderBudgetAssemblesNothing(t *testing.T) {
+	dir := t.TempDir()
+	db := scanDB(512)
+	built, err := engine.Build(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Save(dir, built, Options{ChunkRows: 64}); err != nil {
+		t.Fatal(err)
+	}
+	big := db.Table("big")
+	reg := obs.NewRegistry()
+	st, err := Open(dir, Options{Registry: reg, MemBudgetBytes: big.Bytes() / 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	row := []rel.Value{rel.Int(1 << 20), rel.NullOf(rel.TInt), rel.Str("tag-new"), rel.Float(0.5), rel.Int(7)}
+	for i := 0; i < 3; i++ {
+		if err := st.AppendBatch("big", [][]rel.Value{row, row}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f := reg.Counter("storage.pager.faults").Value(); f != 0 {
+		t.Fatalf("appends faulted %d chunks, want 0", f)
+	}
+	if l := reg.Counter("storage.segment.loads").Value(); l != 0 {
+		t.Fatalf("appends loaded %d segments, want 0", l)
+	}
+	got, err := st.Table("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.RowCount() != big.RowCount()+6 {
+		t.Fatalf("assembled %d rows after appends, want %d", got.RowCount(), big.RowCount()+6)
 	}
 }

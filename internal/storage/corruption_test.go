@@ -85,8 +85,7 @@ func storeFiles(t *testing.T, dir string) []string {
 
 // openAll fully opens a store: Open, every table, and the physical
 // rebuild. Any of these may fail; none may panic. A tiny memory budget
-// forces the chunk pager and table LRU through eviction on corrupted
-// inputs too.
+// forces the chunk pager through eviction on corrupted inputs too.
 func openAll(dir string) (map[string]*rel.Table, error) {
 	st, err := Open(dir, Options{MemBudgetBytes: 8 << 10})
 	if err != nil {

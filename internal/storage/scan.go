@@ -138,44 +138,6 @@ func (cs *ChunkScan) Chunk(k int) (*rel.Table, func(), error) {
 	return rel.ViewFromSnapshot(snap), release, nil
 }
 
-// assembleEntry loads one table entry into a private assembled table —
-// segment rows plus the given redo tail — bypassing the store's
-// assembled-table cache. PagedBuilt's hydration loaders use it so a
-// hydrated shell never aliases the cache: a later Append mutates the
-// cached table, and sharing vectors with it would silently mutate a
-// point-in-time view (the shell instead fails loudly at Hydrate if the
-// entry no longer decodes to its declared shape).
-func (s *Store) assembleEntry(e *TableEntry, tail []redoRecord) (*rel.Table, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	var t *rel.Table
-	var err error
-	if e.ChunkRows > 0 {
-		t, err = s.loadChunkedLocked(e)
-	} else {
-		t, err = s.loadSegmentLocked(e)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if t.RowCount() != e.Rows || t.Generation() != e.Generation || t.Bytes() != e.Bytes {
-		return nil, fmt.Errorf("storage: segment %s decodes to %d rows / generation %d / %d bytes, manifest says %d / %d / %d",
-			e.File, t.RowCount(), t.Generation(), t.Bytes(), e.Rows, e.Generation, e.Bytes)
-	}
-	for _, rec := range tail {
-		if len(rec.Row) != len(t.Columns) {
-			return nil, fmt.Errorf("storage: redo record for table %q has %d values, table has %d columns",
-				e.Name, len(rec.Row), len(t.Columns))
-		}
-		t.AppendRow(rec.Row)
-	}
-	s.reg.Counter("storage.segment.loads").Inc()
-	return t, nil
-}
-
 // PagedBuilt is Built with query-time paging: every chunked table
 // enters the database as a schema-only virtual shell whose driver-stage
 // scans pull chunks through the pager (a registered ChunkScan source),
@@ -184,8 +146,9 @@ func (s *Store) assembleEntry(e *TableEntry, tail []redoRecord) (*rel.Table, err
 // index, view, and partition builds, join build sides, EXISTS probes,
 // index seeks — hydrate the shell on demand through a private assembly
 // of the same point-in-time row set (segment + the redo tail committed
-// when PagedBuilt ran). Version-1 whole-table segments cannot be paged
-// and load assembled, as in Built.
+// when PagedBuilt ran; the shell fails loudly at Hydrate if the entry no
+// longer decodes to its declared shape). Version-1 whole-table segments
+// cannot be paged and load assembled, as in Built.
 //
 // The returned Built is a point-in-time view: after an append or a
 // compaction, chunk scans and hydrations fail with a staleness error
@@ -211,7 +174,7 @@ func (s *Store) PagedBuilt() (*engine.Built, error) {
 	for i := range s.man.Tables {
 		e := s.man.Tables[i] // copy: the loader must survive manifest swaps
 		if e.ChunkRows <= 0 {
-			t, err := s.tableLoadLocked(e.Name)
+			t, err := s.assembleLocked(&e, s.redo[e.Name])
 			if err != nil {
 				loadErr = err
 				break
@@ -244,7 +207,14 @@ func (s *Store) PagedBuilt() (*engine.Built, error) {
 		}
 		entry, tailAt := e, tail
 		db.Add(rel.NewVirtualTable(e.Name, e.Parent, d.Cols, rows, gen, bytes,
-			func() (*rel.Table, error) { return s.assembleEntry(&entry, tailAt) }))
+			func() (*rel.Table, error) {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				if s.closed {
+					return nil, ErrClosed
+				}
+				return s.assembleLocked(&entry, tailAt)
+			}))
 		chunked = append(chunked, pagedTable{e.Name, rows})
 	}
 	s.mu.Unlock()

@@ -28,11 +28,11 @@ type Options struct {
 	// recorded in the manifest at Save time for operators. Ignored by
 	// Open.
 	MappingSQL string
-	// MemBudgetBytes caps how many bytes of columnar data the store
-	// keeps resident: the chunk cache and the assembled-table cache
-	// each evict down to it (chunk cache by CLOCK, tables by LRU,
-	// always retaining the most recently touched table). Zero or less
-	// means unlimited — everything stays resident once loaded.
+	// MemBudgetBytes caps how many bytes of verified chunks the store's
+	// chunk cache keeps resident; it evicts down to it by CLOCK. Tables
+	// the store hands out are the caller's own and are not counted.
+	// Zero or less means unlimited — every chunk stays resident once
+	// loaded.
 	MemBudgetBytes int64
 	// ChunkRows is the rows-per-chunk for segments written by Save and
 	// Compact. Zero means DefaultChunkRows; a negative value selects
@@ -60,13 +60,12 @@ func (o Options) chunkRowsOrDefault() int {
 // Store is an opened on-disk store: the verified manifest plus lazily
 // loaded table segments. Segments are read, checksum-verified, and
 // structurally validated on first touch (chunk by chunk for chunked
-// segments); redo records replay onto the freshly loaded table before
-// it is served.
+// segments, which the pager then caches under the memory budget).
 //
-// Under a memory budget, tables the store has assembled may be evicted
-// and reassembled on the next touch, so Table may return a different
-// *rel.Table for the same name across calls; with no budget the
-// returned table is shared and stable.
+// The pager is the store's only cache. Every table the store hands out
+// is a private assembly — segment rows plus the redo tail committed at
+// that moment — so each Table call returns a fresh *rel.Table that
+// later appends do not touch.
 type Store struct {
 	dir  string
 	reg  *obs.Registry
@@ -76,13 +75,11 @@ type Store struct {
 	// always flushMu before mu.
 	flushMu sync.Mutex
 
-	mu     sync.Mutex
-	man    *Manifest
-	tables map[string]*rel.Table
-	mru    []string // table names, least recently used first
-	dirs   map[string]*chunkedDir
-	pager  *pager
-	redo   map[string][]redoRecord
+	mu    sync.Mutex
+	man   *Manifest
+	dirs  map[string]*chunkedDir
+	pager *pager
+	redo  map[string][]redoRecord
 	// redoFootOff is the file offset of the redo log's commit footer
 	// (where the next record goes); redoCount the committed row count.
 	// Both advance under mu as batches commit.
@@ -211,7 +208,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		man:         man,
 		reg:         opts.Registry,
 		opts:        opts,
-		tables:      make(map[string]*rel.Table, len(man.Tables)),
 		dirs:        make(map[string]*chunkedDir),
 		pager:       newPager(dir, opts.MemBudgetBytes, opts.Registry),
 		redo:        make(map[string][]redoRecord),
@@ -283,44 +279,31 @@ func (s *Store) RedoRows() int {
 	return int(s.redoCount)
 }
 
-// ResidentBytes reports the bytes of columnar data currently resident:
-// assembled tables plus the chunk cache.
-func (s *Store) ResidentBytes() (tables, chunks int64) {
-	s.mu.Lock()
-	for _, t := range s.tables {
-		tables += t.Bytes()
-	}
-	s.mu.Unlock()
-	return tables, s.pager.residentBytes()
-}
+// ResidentBytes reports the bytes of verified chunks the chunk cache
+// holds right now.
+func (s *Store) ResidentBytes() int64 { return s.pager.residentBytes() }
 
-// Table returns the named table, loading and verifying its segment on
-// first touch and replaying any redo records onto it.
+// Table assembles the named table: its verified segment rows plus the
+// redo records committed so far.
 func (s *Store) Table(name string) (*rel.Table, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.tableLocked(name)
-}
-
-func (s *Store) tableLocked(name string) (*rel.Table, error) {
 	if s.closed {
 		return nil, ErrClosed
-	}
-	return s.tableLoadLocked(name)
-}
-
-// tableLoadLocked is tableLocked without the Close fence, for internal
-// callers that legitimately run during shutdown (the background
-// compaction Close waits out).
-func (s *Store) tableLoadLocked(name string) (*rel.Table, error) {
-	if t, ok := s.tables[name]; ok {
-		s.touchLocked(name)
-		return t, nil
 	}
 	e := s.man.Table(name)
 	if e == nil {
 		return nil, fmt.Errorf("storage: no table %q in store %s", name, s.dir)
 	}
+	return s.assembleLocked(e, s.redo[name])
+}
+
+// assembleLocked is the store's one assembly path: it loads entry e's
+// segment (whole-table v1, or chunk by chunk through the pager), checks
+// it against the manifest, and replays the given redo tail onto the
+// private result. It has no Close fence, so the background compaction
+// Close waits out can still use it.
+func (s *Store) assembleLocked(e *TableEntry, tail []redoRecord) (*rel.Table, error) {
 	start := time.Now()
 	var t *rel.Table
 	var err error
@@ -336,15 +319,12 @@ func (s *Store) tableLoadLocked(name string) (*rel.Table, error) {
 		return nil, fmt.Errorf("storage: segment %s decodes to %d rows / generation %d / %d bytes, manifest says %d / %d / %d",
 			e.File, t.RowCount(), t.Generation(), t.Bytes(), e.Rows, e.Generation, e.Bytes)
 	}
-	for _, rec := range s.redo[name] {
+	for _, rec := range tail {
 		if len(rec.Row) != len(t.Columns) {
-			return nil, fmt.Errorf("storage: redo record for table %q has %d values, table has %d columns", name, len(rec.Row), len(t.Columns))
+			return nil, fmt.Errorf("storage: redo record for table %q has %d values, table has %d columns", e.Name, len(rec.Row), len(t.Columns))
 		}
 		t.AppendRow(rec.Row)
 	}
-	s.tables[name] = t
-	s.touchLocked(name)
-	s.evictTablesLocked()
 	s.reg.Counter("storage.segment.loads").Inc()
 	s.reg.Counter("storage.segment.load_ns").Add(time.Since(start).Nanoseconds())
 	return t, nil
@@ -455,49 +435,18 @@ func (s *Store) chunkedDirLocked(e *TableEntry) (*chunkedDir, error) {
 	return d, nil
 }
 
-// touchLocked marks a table most recently used.
-func (s *Store) touchLocked(name string) {
-	for i, n := range s.mru {
-		if n == name {
-			s.mru = append(append(s.mru[:i], s.mru[i+1:]...), name)
-			return
-		}
-	}
-	s.mru = append(s.mru, name)
-}
-
-// evictTablesLocked drops least-recently-used assembled tables until
-// their total bytes fit the budget, always retaining the most recently
-// touched one. Evicted tables reassemble through the chunk cache (and
-// re-replay their redo tail) on the next touch.
-func (s *Store) evictTablesLocked() {
-	var total int64
-	for _, t := range s.tables {
-		total += t.Bytes()
-	}
-	if s.opts.MemBudgetBytes > 0 {
-		evictions := s.reg.Counter("storage.table.evictions")
-		for total > s.opts.MemBudgetBytes && len(s.mru) > 1 {
-			victim := s.mru[0]
-			s.mru = s.mru[1:]
-			if t, ok := s.tables[victim]; ok {
-				total -= t.Bytes()
-				delete(s.tables, victim)
-				evictions.Inc()
-			}
-		}
-	}
-	s.reg.Gauge("storage.resident.table_bytes").Set(float64(total))
-}
-
-// Database loads every table in manifest order and returns them as a
-// database.
+// Database assembles every table in manifest order and returns them as
+// a database.
 func (s *Store) Database() (*rel.Database, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
 	db := rel.NewDatabase()
 	for i := range s.man.Tables {
-		t, err := s.tableLocked(s.man.Tables[i].Name)
+		e := &s.man.Tables[i]
+		t, err := s.assembleLocked(e, s.redo[e.Name])
 		if err != nil {
 			return nil, err
 		}
@@ -527,18 +476,19 @@ func (s *Store) Built() (*engine.Built, error) {
 	return b, nil
 }
 
-// Append durably logs one row append and applies it to the (loaded)
-// table, so a later Open of the same directory replays it and lands on
-// the same row count and generation. Concurrent appenders share one
-// fsync (group commit).
+// Append durably logs one row append onto the table's redo tail, so
+// the next assembly of the table — and a later Open of the same
+// directory — lands on the same row count and generation. Concurrent
+// appenders share one fsync (group commit).
 func (s *Store) Append(table string, row []rel.Value) error {
 	return s.AppendBatch(table, [][]rel.Value{row})
 }
 
 // AppendBatch durably logs a batch of row appends under a single fsync
-// and applies them to the (loaded) table. Batches from concurrent
-// appenders that queue while a flush is in progress coalesce into the
-// next fsync.
+// and extends the table's redo tail. Row widths are checked against the
+// verified segment header, so an append assembles nothing. Batches from
+// concurrent appenders that queue while a flush is in progress coalesce
+// into the next fsync.
 func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 	if len(rows) == 0 {
 		return nil
@@ -552,15 +502,15 @@ func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 		s.mu.Unlock()
 		return fmt.Errorf("storage: store has no redo log")
 	}
-	t, err := s.tableLocked(table)
+	width, err := s.widthLocked(table)
 	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
 	for _, row := range rows {
-		if len(row) != len(t.Columns) {
+		if len(row) != width {
 			s.mu.Unlock()
-			return fmt.Errorf("storage: append to %q has %d values, table has %d columns", table, len(row), len(t.Columns))
+			return fmt.Errorf("storage: append to %q has %d values, table has %d columns", table, len(row), width)
 		}
 	}
 	if s.gcCur == nil {
@@ -585,6 +535,28 @@ func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 
 	s.maybeCompactAsync()
 	return err
+}
+
+// widthLocked returns the named table's column count from its verified
+// segment header: the memoized directory of a chunked segment, or the
+// decoded segment itself for a v1 table, which has no separate header.
+func (s *Store) widthLocked(name string) (int, error) {
+	e := s.man.Table(name)
+	if e == nil {
+		return 0, fmt.Errorf("storage: no table %q in store %s", name, s.dir)
+	}
+	if e.ChunkRows > 0 {
+		d, err := s.chunkedDirLocked(e)
+		if err != nil {
+			return 0, err
+		}
+		return len(d.Cols), nil
+	}
+	t, err := s.loadSegmentLocked(e)
+	if err != nil {
+		return 0, err
+	}
+	return len(t.Columns), nil
 }
 
 // flushBatchLocked detaches and durably writes the open commit batch.
@@ -612,12 +584,8 @@ func (s *Store) flushBatchLocked(b *commitBatch) {
 	s.mu.Lock()
 	s.redoFootOff = newFoot
 	s.redoCount += nrows
-	for i := range b.recs {
-		rec := &b.recs[i]
-		if t, ok := s.tables[rec.Table]; ok {
-			t.AppendRow(rec.Row)
-		}
-		s.redo[rec.Table] = append(s.redo[rec.Table], *rec)
+	for _, rec := range b.recs {
+		s.redo[rec.Table] = append(s.redo[rec.Table], rec)
 	}
 	s.mu.Unlock()
 }
@@ -719,7 +687,7 @@ func (s *Store) compactLocked() error {
 		if err := step("segment:" + e.Name); err != nil {
 			return err
 		}
-		t, err := s.tableLoadLocked(e.Name)
+		t, err := s.assembleLocked(&e, s.redo[e.Name])
 		if err != nil {
 			return err
 		}

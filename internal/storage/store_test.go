@@ -190,21 +190,30 @@ func TestLazyLoadingAndMetrics(t *testing.T) {
 	if loads.Value() != 1 {
 		t.Fatalf("after one Table call: %d loads, want 1", loads.Value())
 	}
-	// Second touch serves the cached table.
+	bytesRead := reg.Counter("storage.segment.bytes_read")
+	faults := reg.Counter("storage.pager.faults")
+	if bytesRead.Value() <= 0 || faults.Value() <= 0 {
+		t.Fatalf("first Table read %d segment bytes in %d chunk faults, want both > 0", bytesRead.Value(), faults.Value())
+	}
+	// A second touch is a fresh assembly served by the pager: no new
+	// segment bytes, no new chunk faults.
+	read, faulted := bytesRead.Value(), faults.Value()
 	if _, err := st.Table("book"); err != nil {
 		t.Fatal(err)
 	}
-	if loads.Value() != 1 {
-		t.Fatalf("cached table reloaded: %d loads", loads.Value())
+	if loads.Value() != 2 {
+		t.Fatalf("after two Table calls: %d loads, want 2", loads.Value())
 	}
-	if _, err := st.Database(); err != nil {
+	if bytesRead.Value() != read || faults.Value() != faulted {
+		t.Fatalf("second Table read %d more segment bytes in %d more faults, want 0 and 0",
+			bytesRead.Value()-read, faults.Value()-faulted)
+	}
+	db, err := st.Database()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if loads.Value() != 2 {
-		t.Fatalf("after Database: %d loads, want 2", loads.Value())
-	}
-	if reg.Counter("storage.segment.bytes_read").Value() <= 0 {
-		t.Fatal("no segment bytes accounted")
+	if want := 2 + int64(len(db.Tables())); loads.Value() != want {
+		t.Fatalf("after Database: %d loads, want %d", loads.Value(), want)
 	}
 	if _, err := st.Table("nope"); err == nil {
 		t.Fatal("unknown table served")
@@ -249,12 +258,30 @@ func TestRedoReplay(t *testing.T) {
 	}
 	tablesBitEqual(t, live, replayed)
 
-	// Width mismatches are refused before touching the table.
-	if err := st.Append("book", []rel.Value{rel.Int(99)}); err == nil {
-		t.Fatal("short row accepted")
+	// Width mismatches are refused before anything is logged, for a
+	// chunked store and for a v1 store alike.
+	v1dir := t.TempDir()
+	if _, err := Save(v1dir, fixtureBuilt(t), Options{ChunkRows: -1}); err != nil {
+		t.Fatal(err)
 	}
-	if err := st.Append("ghost", appends[0]); err == nil {
-		t.Fatal("append to unknown table accepted")
+	v1, err := Open(v1dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Store{st, v1} {
+		before := s.RedoRows()
+		if err := s.Append("book", []rel.Value{rel.Int(99)}); err == nil {
+			t.Fatalf("%s: short row accepted", s.Manifest().Tables[0].File)
+		}
+		if err := s.Append("ghost", appends[0]); err == nil {
+			t.Fatalf("%s: append to unknown table accepted", s.Manifest().Tables[0].File)
+		}
+		if s.RedoRows() != before {
+			t.Fatalf("rejected appends logged %d redo rows", s.RedoRows()-before)
+		}
+	}
+	if err := v1.Append("book", appends[0]); err != nil {
+		t.Fatalf("v1 store refused a full-width row: %v", err)
 	}
 }
 

@@ -29,10 +29,10 @@
 // the baseline when the run and the baseline fall in the same cpu
 // category.
 //
-// Three storage modes ride on the same normalization: -mode reopen
-// pins the StoreReopen/SegmentDecode ratio against BENCH_PR7.json;
-// -mode paging pins the chunked, budgeted, and fully resident
-// (version-1) reopen paths plus the group-commit amortization; and
+// Two storage modes ride on the same normalization: -mode paging pins
+// the chunked, budgeted, and fully resident (version-1) reopen paths,
+// each as a ratio over SegmentDecode, plus the group-commit
+// amortization; and
 // -mode chunkscan pins the chunk-granular query path — the budgeted
 // scan's pager high-water mark must stay within its residency bound
 // (peak_over_bound <= 1, from the run itself), and the
@@ -80,13 +80,6 @@ const (
 	maxDisabledDrift   = 1.05
 	maxEnabledOverhead = 1.25
 	maxWorkersOverhead = 1.50
-	// maxReopenDrift bounds the -mode reopen check: StoreReopen /
-	// SegmentDecode measured now against the same ratio in
-	// BENCH_PR7.json. The reopen path adds file reads, whole-file CRCs,
-	// manifest checks, and redo replay on top of the codec, so the
-	// ratio is what the bound pins — a reopen-latency regression that
-	// is not just "the codec got slower everywhere" fails.
-	maxReopenDrift = 1.50
 	// -mode paging bounds. maxResidentDrift holds the fully resident
 	// (version-1, unbudgeted) reopen within noise of the baseline — the
 	// paging machinery must cost nothing when it is not used.
@@ -199,7 +192,7 @@ func loadBaseline(path string) map[string]float64 {
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_PR12.json", "baseline benchmark JSON")
-	mode := flag.String("mode", "executor", `guard mode: "executor" (executor drift + tracing and worker overheads), "reopen" (store reopen latency), "paging" (memory-budgeted paging + group commit), "chunkscan" (budgeted query peak residency + chunk-scan cost and B/op), or "qps" (service sustained-QPS speedup + dispatch overhead), each against the -baseline file`)
+	mode := flag.String("mode", "executor", `guard mode: "executor" (executor drift + tracing and worker overheads), "paging" (store reopen latency, memory-budgeted paging + group commit), "chunkscan" (budgeted query peak residency + chunk-scan cost and B/op), or "qps" (service sustained-QPS speedup + dispatch overhead), each against the -baseline file`)
 	flag.Parse()
 
 	measured := map[string]float64{}
@@ -257,33 +250,6 @@ func main() {
 		return v
 	}
 
-	if *mode == "reopen" {
-		// Store-reopen drift: BenchmarkStoreReopen covers Open + every
-		// segment load (checksum, decode, validate); BenchmarkSegmentDecode
-		// is the pure codec, which normalizes out machine speed the same
-		// way the reference executor does for the executor bounds.
-		baseNs := loadBaseline(*baselinePath)
-		decBase := need(baseNs, "BenchmarkSegmentDecode", *baselinePath)
-		reopenBase := need(baseNs, "BenchmarkStoreReopen", *baselinePath)
-		decNow := need(measured, "BenchmarkSegmentDecode", "bench output")
-		// BENCH_PR7.json recorded the whole-table format; since PR 8
-		// BenchmarkStoreReopen measures the chunked default and
-		// BenchmarkStoreReopenV1 is the like-for-like path — prefer it
-		// when the run includes it.
-		reopenNow, ok := measured["BenchmarkStoreReopenV1"]
-		if !ok {
-			reopenNow = need(measured, "BenchmarkStoreReopen", "bench output")
-		}
-		drift := (reopenNow / decNow) / (reopenBase / decBase)
-		fmt.Printf("benchguard: reopen drift %.3f (bound %.2f)\n", drift, maxReopenDrift)
-		if drift > maxReopenDrift {
-			fmt.Printf("benchguard: FAIL: store reopen regressed %.1f%% vs %s (normalized by the segment codec)\n",
-				(drift-1)*100, *baselinePath)
-			os.Exit(1)
-		}
-		fmt.Println("benchguard: OK")
-		return
-	}
 	if *mode == "paging" {
 		// All reopen-shaped bounds are normalized by the segment codec
 		// from the same run/baseline, cancelling machine speed.
