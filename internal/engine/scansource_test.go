@@ -27,15 +27,16 @@ func planQuery(t *testing.T, db *rel.Database, q *sqlast.Query) *optimizer.Plan 
 }
 
 // sliceSource is an in-memory ScanSource: chunk-granular snapshots of
-// a resident table, adopted as read-only views at Chunk time — the
-// same shape the storage pager serves, without the disk. It counts
-// outstanding acquisitions so tests can assert the executor's release
-// discipline: at most one held chunk per worker, zero when idle.
+// a resident table, each validated once by rel.TableFromSnapshot and
+// then served read-only on every visit — the same shape the storage
+// pager serves, without the disk. It counts outstanding acquisitions
+// so tests can assert the executor's release discipline: at most one
+// held chunk per worker, zero when idle.
 type sliceSource struct {
 	cols   []rel.Column
 	rows   int
 	spans  [][2]int
-	chunks []*rel.TableSnapshot
+	chunks []*rel.Table
 
 	held    atomic.Int64
 	maxHeld atomic.Int64
@@ -54,8 +55,12 @@ func newSliceSource(t *testing.T, tbl *rel.Table, chunkRows int) *sliceSource {
 		if err != nil {
 			t.Fatalf("SliceSnapshot(%d,%d): %v", lo, hi, err)
 		}
+		chunk, err := rel.TableFromSnapshot(cs)
+		if err != nil {
+			t.Fatalf("TableFromSnapshot(%d,%d): %v", lo, hi, err)
+		}
 		s.spans = append(s.spans, [2]int{lo, hi})
-		s.chunks = append(s.chunks, cs)
+		s.chunks = append(s.chunks, chunk)
 	}
 	return s
 }
@@ -74,7 +79,7 @@ func (s *sliceSource) Chunk(k int) (*rel.Table, func(), error) {
 		}
 	}
 	var released atomic.Bool
-	return rel.ViewFromSnapshot(s.chunks[k]), func() {
+	return s.chunks[k], func() {
 		if released.CompareAndSwap(false, true) {
 			s.held.Add(-1)
 		}

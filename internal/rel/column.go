@@ -62,12 +62,17 @@ type Dict struct {
 }
 
 // Intern returns the code for s, adding it to the dictionary if new.
+// A dictionary restored from a snapshot carries no index; the first
+// Intern builds it from the entries.
 func (d *Dict) Intern(s string) uint32 {
+	if d.idx == nil {
+		d.idx = make(map[string]uint32, len(d.strs)+1)
+		for c, ds := range d.strs {
+			d.idx[ds] = uint32(c)
+		}
+	}
 	if c, ok := d.idx[s]; ok {
 		return c
-	}
-	if d.idx == nil {
-		d.idx = make(map[string]uint32)
 	}
 	c := uint32(len(d.strs))
 	d.strs = append(d.strs, s)
@@ -75,8 +80,19 @@ func (d *Dict) Intern(s string) uint32 {
 	return c
 }
 
-// Code looks up the code for s without interning.
+// Code looks up the code for s without interning. Without an index (a
+// restored dictionary nobody has appended to) it scans the entries:
+// lookups are rare — one per equality kernel compile — while building
+// the index would cost every restore a map over the whole dictionary.
 func (d *Dict) Code(s string) (uint32, bool) {
+	if d.idx == nil {
+		for c, ds := range d.strs {
+			if ds == s {
+				return uint32(c), true
+			}
+		}
+		return 0, false
+	}
 	c, ok := d.idx[s]
 	return c, ok
 }

@@ -194,8 +194,11 @@ func (s *TableSnapshot) SliceSnapshot(lo, hi int) (*TableSnapshot, error) {
 // snapshot decoded from an untrusted byte stream either yields a table
 // bit-identical to the one that produced it or a descriptive error,
 // never a panic and never a silently wrong table. Byte accounting is
-// recomputed from the values (not trusted from the source), so
-// Bytes()/Pages() match what AppendRow would have accumulated.
+// recomputed from the vectors (not trusted from the source), so
+// Bytes()/Pages() match what AppendRow would have accumulated. All of
+// it is linear typed work: no cell is materialized as a Value, and a
+// restored string dictionary is adopted without building its index
+// (Dict.Intern builds it on the first append).
 func TableFromSnapshot(s *TableSnapshot) (*Table, error) {
 	if s == nil {
 		return nil, fmt.Errorf("rel: nil snapshot")
@@ -234,70 +237,46 @@ func TableFromSnapshot(s *TableSnapshot) (*Table, error) {
 		}
 		t.cols[i] = cv
 	}
-	// Recompute byte accounting exactly as AppendRow would have.
-	for r := 0; r < t.nrows; r++ {
-		t.bytes += 8 // per-row overhead
-		for ci := range t.cols {
-			t.bytes += int64(t.cols[ci].value(r).Width())
-		}
+	// Recompute byte accounting exactly as AppendRow would have: the
+	// per-row overhead plus every cell's Width.
+	t.bytes = 8 * int64(t.nrows)
+	for ci := range t.cols {
+		t.bytes += t.cols[ci].bytes()
 	}
 	return t, nil
 }
 
-// ViewFromSnapshot adopts an already-validated snapshot as a read-only
-// Table without re-running TableFromSnapshot's structural checks or its
-// O(rows×cols) byte re-accounting. It exists for snapshots whose
-// validity is established elsewhere — pager-cached chunks go through
-// the full verification chain (CRC → bounds-checked decode →
-// TableFromSnapshot) exactly once at fault time, and a budgeted scan
-// re-adopting the same cached chunk on every visit must not pay the
-// validation again. The returned table aliases the snapshot's vectors,
-// must not be appended to, and reports Bytes() == 0 (chunk residency is
-// accounted by the pager in on-disk bytes, not by the view).
-func ViewFromSnapshot(s *TableSnapshot) *Table {
-	t := &Table{
-		Name:   s.Name,
-		Parent: s.Parent,
-		nrows:  s.RowCount,
-		gen:    s.Generation,
-		colIdx: make(map[string]int, len(s.Columns)),
-	}
-	t.Columns = make([]Column, len(s.Columns))
-	t.cols = make([]colVec, len(s.Columns))
-	for i := range s.Columns {
-		cs := &s.Columns[i]
-		t.colIdx[cs.Col.Name] = i
-		t.Columns[i] = cs.Col
-		set := 0
-		for _, w := range cs.NullWords {
-			set += bits.OnesCount64(w)
-		}
-		cv := colVec{
-			typ:    cs.Col.Typ,
-			nulls:  Bitmap{words: cs.NullWords, n: s.RowCount, set: set},
-			ints:   cs.Ints,
-			floats: cs.Floats,
-			codes:  cs.Codes,
-		}
-		if cs.Col.Typ == TString {
-			d := &Dict{strs: cs.Dict}
-			if len(cs.Dict) > 0 {
-				d.idx = make(map[string]uint32, len(cs.Dict))
-				for c, ds := range cs.Dict {
-					d.idx[ds] = uint32(c)
-				}
+// bytes returns the column's share of Table.Bytes — the sum of
+// value(r).Width() over its rows — computed on the typed vectors: 8 per
+// int or float, 1 per NULL, the dictionary string's width per code, and
+// a correction for each exception row.
+func (cv *colVec) bytes() int64 {
+	rows := cv.nulls.Len()
+	set := cv.nulls.SetCount()
+	var b int64
+	switch cv.typ {
+	case TInt, TFloat:
+		b = 8*int64(rows-set) + int64(set)
+	case TString:
+		b = int64(set)
+		strs := cv.dict.strs
+		for r, c := range cv.codes {
+			if set > 0 && cv.nulls.Get(r) {
+				continue
 			}
-			cv.dict = d
-		}
-		if len(cs.Exc) > 0 {
-			cv.exc = make(map[int]Value, len(cs.Exc))
-			for _, e := range cs.Exc {
-				cv.exc[e.Row] = e.Val
+			// materialize serves an out-of-range code (a wrong-typed
+			// exception row over an empty dictionary) as "", width 1.
+			w := 1
+			if int(c) < len(strs) && len(strs[c]) > 0 {
+				w = len(strs[c])
 			}
+			b += int64(w)
 		}
-		t.cols[i] = cv
 	}
-	return t
+	for row, v := range cv.exc {
+		b += int64(v.Width() - cv.materialize(row).Width())
+	}
+	return b
 }
 
 // colVecFromSnapshot validates and adopts one column's vectors.
@@ -359,7 +338,10 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 	// with the exception value, zeroed payload slot underneath, and a
 	// value that genuinely does not round-trip (otherwise append would
 	// not have recorded it, and re-encoding would not be stable).
-	excAt := make(map[int]Value, len(cs.Exc))
+	var excAt map[int]Value
+	if len(cs.Exc) > 0 {
+		excAt = make(map[int]Value, len(cs.Exc))
+	}
 	prev := -1
 	for _, e := range cs.Exc {
 		if e.Row <= prev {
@@ -389,9 +371,14 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 	// stored returns the payload the vector must hold at row r: the
 	// exception value's payload when its type matches, the zero value
 	// for NULL/mismatched rows, and ok=false for plain rows (vector
-	// payload is authoritative).
+	// payload is authoritative). Each switch arm below walks the rows
+	// once in ascending order, so the (sorted, validated) exception list
+	// is consumed by a cursor instead of a per-row map probe.
+	exc := cs.Exc
 	stored := func(r int) (v Value, zero bool, constrained bool) {
-		if e, exc := excAt[r]; exc {
+		if len(exc) > 0 && exc[0].Row == r {
+			e := exc[0].Val
+			exc = exc[1:]
 			if !e.Null && e.Typ == cs.Col.Typ {
 				return e, false, true
 			}
@@ -428,12 +415,12 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 			}
 		}
 	case TString:
-		seen := make(map[string]bool, len(cs.Dict))
+		seen := make(map[string]struct{}, len(cs.Dict))
 		for _, ds := range cs.Dict {
-			if seen[ds] {
+			if _, dup := seen[ds]; dup {
 				return bad("dictionary entry %q duplicated", ds)
 			}
-			seen[ds] = true
+			seen[ds] = struct{}{}
 		}
 		next := uint32(0) // next first-appearance code expected
 		for r := 0; r < rows; r++ {
@@ -463,27 +450,17 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 		}
 	}
 
-	cv := colVec{typ: cs.Col.Typ, nulls: nulls, ints: cs.Ints, floats: cs.Floats, codes: cs.Codes}
+	cv := colVec{typ: cs.Col.Typ, nulls: nulls, ints: cs.Ints, floats: cs.Floats, codes: cs.Codes, exc: excAt}
 	if cs.Col.Typ == TString {
-		d := &Dict{strs: cs.Dict}
-		if len(cs.Dict) > 0 {
-			d.idx = make(map[string]uint32, len(cs.Dict))
-			for i, ds := range cs.Dict {
-				d.idx[ds] = uint32(i)
-			}
-		}
-		cv.dict = d
-	}
-	if len(excAt) > 0 {
-		cv.exc = excAt
+		cv.dict = &Dict{strs: cs.Dict}
 	}
 	// Faithfulness: an exception value must differ from what the
 	// vectors materialize (checked after cv exists so materialize can
 	// run). A round-tripping "exception" would re-encode differently
 	// than the append path produces.
-	for row, v := range excAt {
-		if v.BitEqual(cv.materialize(row)) {
-			return bad("exception at row %d is bit-equal to the vector value %v; append would not have recorded it", row, v)
+	for _, e := range cs.Exc {
+		if e.Val.BitEqual(cv.materialize(e.Row)) {
+			return bad("exception at row %d is bit-equal to the vector value %v; append would not have recorded it", e.Row, e.Val)
 		}
 	}
 	return cv, nil

@@ -3,6 +3,7 @@ package rel
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -101,7 +102,7 @@ func TestSnapshotRoundTripRandom(t *testing.T) {
 		ncols := 1 + rng.Intn(4)
 		for i := 0; i < ncols; i++ {
 			cols = append(cols, Column{
-				Name: string(rune('a'+i)), Typ: Type(rng.Intn(3)), Nullable: true,
+				Name: string(rune('a' + i)), Typ: Type(rng.Intn(3)), Nullable: true,
 			})
 		}
 		tbl := NewTable("r", cols)
@@ -197,5 +198,123 @@ func TestTableFromSnapshotRejects(t *testing.T) {
 				t.Fatalf("corrupted snapshot accepted (table %v)", tbl.Name)
 			}
 		})
+	}
+}
+
+// cellBytes is the per-cell byte accounting TableFromSnapshot must
+// reproduce: the per-row overhead plus every materialized value's
+// Width, exactly what AppendRow accumulates.
+func cellBytes(t *Table) int64 {
+	var b int64
+	for r := 0; r < t.RowCount(); r++ {
+		b += 8
+		for c := range t.Columns {
+			b += int64(t.ValueAt(r, c).Width())
+		}
+	}
+	return b
+}
+
+// TestTableFromSnapshotBytesMatchCellOracle pins the typed byte
+// accounting against the per-cell formula over random tables that mix
+// every exception shape — NULLs carrying a payload or another type,
+// wrong-typed values, empty strings, and string columns whose
+// dictionary stays empty — and checks that a restore adopts each
+// string dictionary without building its index.
+func TestTableFromSnapshotBytesMatchCellOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	words := []string{"", "x", "yy", "zzzz", "1998"}
+	for trial := 0; trial < 200; trial++ {
+		cols := []Column{{Name: IDColumn, Typ: TInt}}
+		for i := 0; i < 1+rng.Intn(4); i++ {
+			cols = append(cols, Column{Name: string(rune('a' + i)), Typ: Type(rng.Intn(3)), Nullable: true})
+		}
+		// Some string columns only ever receive NULLs and wrong-typed
+		// values, so their dictionary is empty and every code is 0.
+		noStrings := make([]bool, len(cols))
+		for c := range cols {
+			noStrings[c] = cols[c].Typ == TString && rng.Intn(3) == 0
+		}
+		tbl := NewTable("b", cols)
+		row := make([]Value, len(cols))
+		nrows := rng.Intn(150)
+		for r := 0; r < nrows; r++ {
+			for c, col := range cols {
+				switch k := rng.Intn(12); {
+				case k == 0:
+					row[c] = NullOf(col.Typ)
+				case k == 1: // NULL carrying a payload
+					row[c] = Value{Null: true, Typ: col.Typ, I: int64(rng.Intn(5)), S: words[rng.Intn(len(words))]}
+				case k == 2: // NULL of another type
+					row[c] = NullOf(Type((int(col.Typ) + 1 + rng.Intn(2)) % 3))
+				case k == 3 || noStrings[c]: // wrong-typed value
+					typ := Type((int(col.Typ) + 1 + rng.Intn(2)) % 3)
+					row[c] = Value{Typ: typ, I: int64(rng.Intn(9)), F: rng.Float64(), S: words[rng.Intn(len(words))]}
+				case col.Typ == TInt:
+					row[c] = Int(int64(rng.Intn(100)))
+				case col.Typ == TFloat:
+					row[c] = Float(rng.NormFloat64())
+				default:
+					row[c] = Str(words[rng.Intn(len(words))])
+				}
+			}
+			tbl.AppendRow(row)
+		}
+		got, err := TableFromSnapshot(tbl.Snapshot())
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if want := cellBytes(tbl); got.Bytes() != want || tbl.Bytes() != want {
+			t.Fatalf("trial %d: restored %d bytes, appended %d, per-cell oracle %d", trial, got.Bytes(), tbl.Bytes(), want)
+		}
+		for c := range got.cols {
+			if d := got.cols[c].dict; d != nil && d.idx != nil {
+				t.Fatalf("trial %d: restore built the index of column %d's dictionary", trial, c)
+			}
+		}
+	}
+}
+
+// TestRestoredDictCode: a restored dictionary answers Code exactly like
+// the original, for present and absent strings, and appending to the
+// restored table (the redo-replay path) interns against the existing
+// entries, so it re-snapshots to the same canonical form as the
+// original after the same appends.
+func TestRestoredDictCode(t *testing.T) {
+	orig := snapshotTable(t)
+	restored, err := TableFromSnapshot(orig.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci := orig.ColIndex("title")
+	od, rd := orig.cols[ci].dict, restored.cols[ci].dict
+	for _, s := range append(append([]string(nil), od.Strs()...), "absent", "ALPHA", "alpha ") {
+		oc, ook := od.Code(s)
+		rc, rok := rd.Code(s)
+		if oc != rc || ook != rok {
+			t.Fatalf("Code(%q): original (%d,%v), restored (%d,%v)", s, oc, ook, rc, rok)
+		}
+	}
+	for _, row := range [][]Value{
+		{Int(8), Int(1), Str("beta"), Float(2)},
+		{Int(9), Int(1), Str("delta"), Float(3)},
+		{Int(10), Int(2), Str("alpha"), Float(4)},
+		{Int(11), Int(2), Str("delta"), NullOf(TFloat)},
+	} {
+		orig.AppendRow(row)
+		restored.AppendRow(row)
+	}
+	tablesBitEqual(t, orig, restored)
+	want, got := orig.Snapshot().Columns[ci], restored.Snapshot().Columns[ci]
+	if strings.Join(want.Dict, "|") != strings.Join(got.Dict, "|") {
+		t.Fatalf("dictionary after appends: restored %q, original %q", got.Dict, want.Dict)
+	}
+	for r := range want.Codes {
+		if want.Codes[r] != got.Codes[r] {
+			t.Fatalf("row %d code: restored %d, original %d", r, got.Codes[r], want.Codes[r])
+		}
+	}
+	if _, err := TableFromSnapshot(restored.Snapshot()); err != nil {
+		t.Fatalf("restored table after appends is not canonical: %v", err)
 	}
 }

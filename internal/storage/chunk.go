@@ -313,9 +313,10 @@ func (d *chunkedDir) fileSize() int64 {
 // directory: envelope CRC, bounds-checked decode of every column
 // vector, then full rel.TableFromSnapshot structural validation — the
 // same chain a whole version-1 segment goes through, at chunk
-// granularity. The returned snapshot is self-contained (local
-// dictionary, local exception rows).
-func (d *chunkedDir) decodeChunk(k int, blob []byte) (*rel.TableSnapshot, error) {
+// granularity. It returns the table that validation built, which is
+// self-contained (local dictionary, local exception rows) and is what
+// scans read and the pager caches.
+func (d *chunkedDir) decodeChunk(k int, blob []byte) (*rel.Table, error) {
 	ref := &d.Chunks[k]
 	if int64(len(blob)) != ref.Size {
 		return nil, fmt.Errorf("storage: chunk %d of %s is %d bytes, directory says %d", k, d.Name, len(blob), ref.Size)
@@ -406,10 +407,11 @@ func (d *chunkedDir) decodeChunk(k int, blob []byte) (*rel.TableSnapshot, error)
 	// Structural validation: a chunk must be a valid table fragment in
 	// its own right (bitmap shape, dictionary canonicality, exception
 	// faithfulness) before any of its rows are served or merged.
-	if _, err := rel.TableFromSnapshot(snap); err != nil {
+	t, err := rel.TableFromSnapshot(snap)
+	if err != nil {
 		return nil, fmt.Errorf("storage: chunk %d of %s: %w", k, d.Name, err)
 	}
-	return snap, nil
+	return t, nil
 }
 
 // mergeChunks reassembles a full-table snapshot from per-chunk
@@ -451,7 +453,10 @@ func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot
 		for ci := range d.Cols {
 			cs := &part.Columns[ci]
 			oc := &out.Columns[ci]
-			excAt := make(map[int]rel.Value, len(cs.Exc))
+			var excAt map[int]rel.Value
+			if len(cs.Exc) > 0 {
+				excAt = make(map[int]rel.Value, len(cs.Exc))
+			}
 			for _, e := range cs.Exc {
 				excAt[e.Row] = e.Val
 				oc.Exc = append(oc.Exc, rel.ExcEntry{Row: e.Row + base, Val: e.Val})
@@ -469,8 +474,10 @@ func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot
 					// of another type) keep code 0 without interning,
 					// mirroring colVec.append.
 					zero := cs.NullWords[r/64]&(1<<uint(r%64)) != 0
-					if e, ok := excAt[r]; ok {
-						zero = e.Null || e.Typ != rel.TString
+					if excAt != nil {
+						if e, ok := excAt[r]; ok {
+							zero = e.Null || e.Typ != rel.TString
+						}
 					}
 					if zero {
 						oc.Codes = append(oc.Codes, 0)
@@ -522,7 +529,7 @@ func DecodeChunkedSegment(data []byte) (*rel.TableSnapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		parts[k] = part
+		parts[k] = part.Snapshot()
 	}
 	return d.mergeChunks(parts)
 }

@@ -135,9 +135,24 @@ func FuzzRedoDecode(f *testing.F) {
 	})
 }
 
+// cellBytes is the per-cell byte accounting a validated table must
+// carry: the per-row overhead plus every materialized value's Width,
+// exactly what AppendRow accumulates.
+func cellBytes(tb *rel.Table) int64 {
+	var b int64
+	for r := 0; r < tb.RowCount(); r++ {
+		b += 8
+		for c := range tb.Columns {
+			b += int64(tb.ValueAt(r, c).Width())
+		}
+	}
+	return b
+}
+
 // FuzzChunkDecode hammers the chunked-segment decoder: arbitrary bytes
-// never panic, and anything that decodes AND validates re-encodes to a
-// chunked segment that decodes back bit-identically.
+// never panic, anything that decodes AND validates carries the
+// per-cell byte accounting, and it re-encodes to a chunked segment that
+// decodes back bit-identically.
 func FuzzChunkDecode(f *testing.F) {
 	for _, tb := range fixtureDB().Tables() {
 		enc, err := EncodeChunkedSegment(tb.Snapshot(), 64)
@@ -170,6 +185,9 @@ func FuzzChunkDecode(f *testing.F) {
 		tb, err := rel.TableFromSnapshot(snap)
 		if err != nil {
 			return
+		}
+		if want := cellBytes(tb); tb.Bytes() != want {
+			t.Fatalf("accepted chunked segment accounts %d bytes, per-cell oracle %d", tb.Bytes(), want)
 		}
 		enc, err := EncodeChunkedSegment(tb.Snapshot(), 64)
 		if err != nil {

@@ -10,13 +10,16 @@ import (
 	"repro/internal/rel"
 )
 
-// pager is a memory-budgeted cache of decoded, validated chunk
-// snapshots. Residency is accounted in on-disk framed chunk bytes (a
-// stable, deterministic proxy for heap cost), and eviction is CLOCK
-// (second-chance): a hit sets the entry's reference bit, the clock
-// hand clears bits until it finds an unreferenced victim. A budget of
-// zero or less means unlimited — nothing is ever evicted, matching the
-// fully-resident behavior of earlier formats.
+// pager is a memory-budgeted cache of verified chunks, each held as
+// the read-only rel.Table that TableFromSnapshot built when the chunk
+// faulted: a hit hands out that table as is, with no decode, no
+// validation and no allocation beyond the pin's release. Residency is
+// accounted in on-disk framed chunk bytes (a stable, deterministic
+// proxy for heap cost), and eviction is CLOCK (second-chance): a hit
+// sets the entry's reference bit, the clock hand clears bits until it
+// finds an unreferenced victim. A budget of zero or less means
+// unlimited — nothing is ever evicted, matching the fully-resident
+// behavior of earlier formats.
 //
 // The budget is a cache target, not a hard ceiling: a chunk currently
 // being loaded is not yet evictable, so resident + in-flight bytes can
@@ -52,7 +55,7 @@ type chunkKey struct {
 // pageEntry is one cached chunk.
 type pageEntry struct {
 	key  chunkKey
-	snap *rel.TableSnapshot
+	tbl  *rel.Table // read-only: shared by every reader of the chunk
 	size int64
 	ref  bool // CLOCK reference bit
 	pins int  // active chunkPinned readers; pinned entries are not evictable
@@ -71,21 +74,22 @@ func newPager(dir string, budget int64, reg *obs.Registry) *pager {
 // chunk returns chunk k of the table described by d, loading it
 // through the verification chain (chunk CRC → bounds-checked decode →
 // TableFromSnapshot structural validation) on a miss and evicting
-// under the budget before admitting it.
-func (p *pager) chunk(file string, d *chunkedDir, k int) (*rel.TableSnapshot, error) {
-	snap, release, err := p.acquire(file, d, k, false)
+// under the budget before admitting it. The table is shared with every
+// other reader of the chunk and must not be modified.
+func (p *pager) chunk(file string, d *chunkedDir, k int) (*rel.Table, error) {
+	tbl, release, err := p.acquire(file, d, k, false)
 	if err != nil {
 		return nil, err
 	}
 	release()
-	return snap, nil
+	return tbl, nil
 }
 
 // chunkPinned is chunk with the entry pinned against eviction until the
 // returned release is called. Scans hold exactly one pin per worker, so
 // the budget overshoot stays bounded to one chunk per worker even when
 // every other entry is evictable.
-func (p *pager) chunkPinned(file string, d *chunkedDir, k int) (*rel.TableSnapshot, func(), error) {
+func (p *pager) chunkPinned(file string, d *chunkedDir, k int) (*rel.Table, func(), error) {
 	return p.acquire(file, d, k, true)
 }
 
@@ -95,7 +99,7 @@ func (p *pager) chunkPinned(file string, d *chunkedDir, k int) (*rel.TableSnapsh
 // concurrent admission counts as a hit plus storage.pager.dup_loads
 // (the wasted read keeps bytes_read honest without double-counting
 // admissions).
-func (p *pager) acquire(file string, d *chunkedDir, k int, pin bool) (*rel.TableSnapshot, func(), error) {
+func (p *pager) acquire(file string, d *chunkedDir, k int, pin bool) (*rel.Table, func(), error) {
 	key := chunkKey{table: d.Name, file: file, idx: k}
 	ref := &d.Chunks[k]
 	p.mu.Lock()
@@ -104,7 +108,7 @@ func (p *pager) acquire(file string, d *chunkedDir, k int, pin bool) (*rel.Table
 		unpin := p.pinLocked(e, pin)
 		p.mu.Unlock()
 		p.reg.Counter("storage.pager.hits").Inc()
-		return e.snap, unpin, nil
+		return e.tbl, unpin, nil
 	}
 	p.inflight += ref.Size
 	if hw := p.resident + p.inflight; hw > p.peak {
@@ -112,7 +116,7 @@ func (p *pager) acquire(file string, d *chunkedDir, k int, pin bool) (*rel.Table
 	}
 	p.mu.Unlock()
 
-	snap, err := p.load(file, d, k)
+	tbl, err := p.load(file, d, k)
 
 	p.mu.Lock()
 	p.inflight -= ref.Size
@@ -128,10 +132,10 @@ func (p *pager) acquire(file string, d *chunkedDir, k int, pin bool) (*rel.Table
 		p.mu.Unlock()
 		p.reg.Counter("storage.pager.hits").Inc()
 		p.reg.Counter("storage.pager.dup_loads").Inc()
-		return e.snap, unpin, nil
+		return e.tbl, unpin, nil
 	}
 	p.evictFor(ref.Size)
-	e := &pageEntry{key: key, snap: snap, size: ref.Size, ref: true}
+	e := &pageEntry{key: key, tbl: tbl, size: ref.Size, ref: true}
 	p.entries[key] = e
 	p.ring = append(p.ring, e)
 	p.resident += e.size
@@ -142,14 +146,14 @@ func (p *pager) acquire(file string, d *chunkedDir, k int, pin bool) (*rel.Table
 	p.reg.Gauge("storage.pager.resident_bytes").Set(float64(p.resident))
 	p.mu.Unlock()
 	p.reg.Counter("storage.pager.faults").Inc()
-	return snap, unpin, nil
+	return tbl, unpin, nil
 }
 
 // pinLocked takes a pin on e (when pin is set) and returns the matching
 // idempotent release. Caller holds p.mu. The last unpin of an entry
 // invalidate marked dead drops it from the ring and the accounting —
 // until then its bytes stay resident (the reader still holds the
-// snapshot), so the gauge and peak reflect actual residency.
+// table), so the gauge and peak reflect actual residency.
 func (p *pager) pinLocked(e *pageEntry, pin bool) func() {
 	if !pin {
 		return func() {}
@@ -189,7 +193,7 @@ func (p *pager) dropDeadLocked(e *pageEntry) {
 }
 
 // load reads and validates one chunk from disk (no cache interaction).
-func (p *pager) load(file string, d *chunkedDir, k int) (*rel.TableSnapshot, error) {
+func (p *pager) load(file string, d *chunkedDir, k int) (*rel.Table, error) {
 	ref := &d.Chunks[k]
 	f, err := os.Open(filepath.Join(p.dir, file))
 	if err != nil {
@@ -201,13 +205,13 @@ func (p *pager) load(file string, d *chunkedDir, k int) (*rel.TableSnapshot, err
 		p.reg.Counter("storage.checksum.failures").Inc()
 		return nil, fmt.Errorf("storage: reading chunk %d of %s at offset %d: %w", k, d.Name, ref.Off, err)
 	}
-	snap, err := d.decodeChunk(k, blob)
+	tbl, err := d.decodeChunk(k, blob)
 	if err != nil {
 		p.reg.Counter("storage.checksum.failures").Inc()
 		return nil, err
 	}
 	p.reg.Counter("storage.segment.bytes_read").Add(ref.Size)
-	return snap, nil
+	return tbl, nil
 }
 
 // evictFor makes room for need bytes under the budget. Caller holds

@@ -158,7 +158,7 @@ func TestPagerConcurrentLoads(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 50; i++ {
 				k := rng.Intn(len(d.Chunks))
-				snap, err := p.chunk("fact.seg", d, k)
+				tbl, err := p.chunk("fact.seg", d, k)
 				if err != nil {
 					errs <- err
 					return
@@ -167,8 +167,8 @@ func TestPagerConcurrentLoads(t *testing.T) {
 				if k == len(d.Chunks)-1 {
 					want = d.RowCount - k*d.ChunkRows
 				}
-				if snap.RowCount != want {
-					errs <- fmt.Errorf("chunk %d served %d rows, want %d", k, snap.RowCount, want)
+				if tbl.RowCount() != want {
+					errs <- fmt.Errorf("chunk %d served %d rows, want %d", k, tbl.RowCount(), want)
 					return
 				}
 			}
@@ -323,19 +323,19 @@ func TestPagerInvalidateKeepsClockOrder(t *testing.T) {
 
 // TestPagerInvalidatePinnedAccounting: invalidating a table while a
 // scan worker holds a chunk pinned must keep the pinned bytes in the
-// residency accounting until the last unpin (the snapshot is still in
+// residency accounting until the last unpin (the table is still in
 // memory), while making the dead entry unreachable to new readers —
 // and dropping it must not disturb a fresh admission under the same
 // key.
 func TestPagerInvalidatePinnedAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	p, d, _ := pagerFixture(t, 320, 0, reg)
-	snap, release, err := p.chunkPinned("fact.seg", d, 0)
+	tbl, release, err := p.chunkPinned("fact.seg", d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.RowCount != d.ChunkRows {
-		t.Fatalf("pinned chunk served %d rows, want %d", snap.RowCount, d.ChunkRows)
+	if tbl.RowCount() != d.ChunkRows {
+		t.Fatalf("pinned chunk served %d rows, want %d", tbl.RowCount(), d.ChunkRows)
 	}
 	if _, err := p.chunk("fact.seg", d, 1); err != nil {
 		t.Fatal(err)
@@ -382,12 +382,12 @@ func TestPagerPinnedChunkSurvivesPressure(t *testing.T) {
 	reg := obs.NewRegistry()
 	p, d, maxChunk := pagerFixture(t, 640, 0, reg)
 	p.budget = 2 * maxChunk
-	snap, release, err := p.chunkPinned("fact.seg", d, 0)
+	tbl, release, err := p.chunkPinned("fact.seg", d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.RowCount != d.ChunkRows {
-		t.Fatalf("pinned chunk served %d rows, want %d", snap.RowCount, d.ChunkRows)
+	if tbl.RowCount() != d.ChunkRows {
+		t.Fatalf("pinned chunk served %d rows, want %d", tbl.RowCount(), d.ChunkRows)
 	}
 	for pass := 0; pass < 2; pass++ {
 		for k := 1; k < len(d.Chunks); k++ {

@@ -119,10 +119,11 @@ func (cs *ChunkScan) check() error {
 }
 
 // Chunk returns chunk k as a resident read-only fragment plus its
-// release. Segment chunks go through the pager's verification chain
-// (CRC → bounds-checked decode → structural validation, done once at
-// fault time) and come back pinned; the adopted view skips
-// re-validation (rel.ViewFromSnapshot). The overlay chunk is already
+// release. A segment chunk goes through the pager's verification chain
+// (CRC → bounds-checked decode → rel.TableFromSnapshot validation)
+// once, when it faults; the fragment is the table that validation
+// built, which the pager caches and hands, pinned, to every later
+// visit of the chunk until it is evicted. The overlay chunk is already
 // resident and its release is a no-op.
 func (cs *ChunkScan) Chunk(k int) (*rel.Table, func(), error) {
 	if err := cs.check(); err != nil {
@@ -131,11 +132,7 @@ func (cs *ChunkScan) Chunk(k int) (*rel.Table, func(), error) {
 	if cs.overlay != nil && k == len(cs.spans)-1 {
 		return cs.overlay, func() {}, nil
 	}
-	snap, release, err := cs.s.pager.chunkPinned(cs.file, cs.d, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rel.ViewFromSnapshot(snap), release, nil
+	return cs.s.pager.chunkPinned(cs.file, cs.d, k)
 }
 
 // PagedBuilt is Built with query-time paging: every chunked table

@@ -471,6 +471,56 @@ func TestChunkScanStaleness(t *testing.T) {
 	}
 }
 
+// TestChunkScanHitServesCachedTable: a fault decodes and validates a
+// chunk once, into the table every later visit reads. Two Chunk calls
+// on a resident chunk return the same *rel.Table, the second adds no
+// fault, and a hit allocates at most its pin's release closure.
+func TestChunkScanHitServesCachedTable(t *testing.T) {
+	dir := savedScanStore(t, 320)
+	reg := obs.NewRegistry()
+	s, err := Open(dir, Options{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cs, err := s.ChunkScan("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, release, err := cs.Chunk(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	faults := reg.Counter("storage.pager.faults").Value()
+	second, release, err := cs.Chunk(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if first != second {
+		t.Fatal("a hit on a resident chunk built a new table instead of serving the cached one")
+	}
+	if f := reg.Counter("storage.pager.faults").Value(); f != faults {
+		t.Fatalf("hit on a resident chunk faulted %d times", f-faults)
+	}
+	var hitErr error
+	allocs := testing.AllocsPerRun(100, func() {
+		_, release, err := cs.Chunk(1)
+		if err != nil {
+			hitErr = err
+			return
+		}
+		release()
+	})
+	if hitErr != nil {
+		t.Fatal(hitErr)
+	}
+	if allocs > 2 {
+		t.Fatalf("a chunk hit allocates %.1f times, want at most 2 (the pin's release)", allocs)
+	}
+}
+
 // TestChunkScanNeverServesPreCompactionChunk pins the cache-key epoch
 // race: a chunk load that started against the pre-compaction segment
 // can finish — and be admitted — after compaction swapped the manifest

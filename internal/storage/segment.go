@@ -361,10 +361,14 @@ func (r *reader) str(what string) string {
 	if r.err != nil {
 		return ""
 	}
-	n := r.uvarint(what + " length")
-	if r.err != nil {
+	// The length varint is read inline rather than through uvarint so
+	// the "<what> length" label is only built when it fails.
+	n, w := binary.Uvarint(r.buf[r.off:])
+	if w <= 0 {
+		r.failf("bad varint reading %s length", what)
 		return ""
 	}
+	r.off += w
 	if n > uint64(r.remaining()) {
 		r.failf("%s length %d exceeds remaining payload %d", what, n, r.remaining())
 		return ""

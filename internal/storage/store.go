@@ -365,7 +365,9 @@ func (s *Store) loadSegmentLocked(e *TableEntry) (*rel.Table, error) {
 // loadChunkedLocked assembles a table from its chunked segment: the
 // directory is read and verified once (then cached), each chunk loads
 // through the pager's verification chain under the memory budget, and
-// the merged snapshot passes full structural validation.
+// the merged snapshot passes full structural validation. Each chunk's
+// snapshot aliases the cached table's vectors; merging copies out of
+// them, so the result shares nothing with the cache.
 func (s *Store) loadChunkedLocked(e *TableEntry) (*rel.Table, error) {
 	d, err := s.chunkedDirLocked(e)
 	if err != nil {
@@ -373,10 +375,11 @@ func (s *Store) loadChunkedLocked(e *TableEntry) (*rel.Table, error) {
 	}
 	parts := make([]*rel.TableSnapshot, len(d.Chunks))
 	for k := range d.Chunks {
-		parts[k], err = s.pager.chunk(e.File, d, k)
+		t, err := s.pager.chunk(e.File, d, k)
 		if err != nil {
 			return nil, err
 		}
+		parts[k] = t.Snapshot()
 	}
 	merged, err := d.mergeChunks(parts)
 	if err != nil {
